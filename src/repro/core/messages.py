@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
-from repro import fastpath
 from repro.core.names import AbstractName
 from repro.core.namespaces import WSDAI_NS, action_uri
 from repro.soap.addressing import EndpointReference
@@ -130,9 +129,8 @@ class GenericQueryResponse(DaisMessage):
         # Data items are shared, not copied: serializers never mutate, and
         # copying every row subtree per render dominates large responses.
         dataset = E(_q("DatasetData"))
-        copy = not fastpath.enabled()
         for item in self.data:
-            dataset.append(item.copy() if copy else item)
+            dataset.append(item)
         root.append(dataset)
         return root
 

@@ -10,14 +10,17 @@ in one or more DatasetMap properties"):
 * **WebRowSet** — the Sun JDBC WebRowSet dialect Figure 5 calls out;
 * **CSV** — a compact textual rendering inside a wrapper element.
 
-All three parse back to an equal :class:`Rowset` (values come back as
-their lexical strings; NULL is preserved exactly).
+Each format has exactly one emitter, :func:`render_rowset`, which
+serializes rows incrementally; all three parse back to an equal
+:class:`Rowset` (values come back as their lexical strings; NULL is
+preserved exactly).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.faults import InvalidDatasetFormatFault
@@ -28,11 +31,9 @@ from repro.dair.namespaces import (
     WEBROWSET_NS,
     WSDAIR_NS,
 )
-from repro import fastpath
 from repro.relational.engine import ResultSet
 from repro.relational.types import NULL
 from repro.xmlutil import (
-    E,
     QName,
     StreamedElement,
     Text,
@@ -43,6 +44,20 @@ from repro.xmlutil import (
 )
 
 _WEBROWSET_NS = WEBROWSET_NS
+
+
+def _lexical_row(row: tuple) -> tuple:
+    """One result row as lexical text (NULL stays NULL)."""
+    return tuple(
+        [
+            str(v)
+            if type(v) is int
+            else v
+            if type(v) is str
+            else NULL if v is NULL else _lexical(v)
+            for v in row
+        ]
+    )
 
 
 def _result_types(result: ResultSet) -> list[str]:
@@ -67,23 +82,10 @@ class Rowset:
         A streaming result is drained here; use :class:`StreamingRowset`
         to keep it lazy.
         """
-        rows = [
-            tuple(
-                [
-                    str(v)
-                    if type(v) is int
-                    else v
-                    if type(v) is str
-                    else NULL if v is NULL else _lexical(v)
-                    for v in row
-                ]
-            )
-            for row in result.iter_rows()
-        ]
         return cls(
             columns=list(result.columns),
             types=_result_types(result),
-            rows=rows,
+            rows=[_lexical_row(row) for row in result.iter_rows()],
         )
 
     @property
@@ -136,19 +138,7 @@ class StreamingRowset:
     @classmethod
     def from_result(cls, result: ResultSet) -> "StreamingRowset":
         """Wrap a result set without draining it."""
-        source = (
-            tuple(
-                [
-                    str(v)
-                    if type(v) is int
-                    else v
-                    if type(v) is str
-                    else NULL if v is NULL else _lexical(v)
-                    for v in row
-                ]
-            )
-            for row in result.iter_rows()
-        )
+        source = map(_lexical_row, result.iter_rows())
         return cls(list(result.columns), _result_types(result), source)
 
     def __iter__(self) -> Iterator[tuple]:
@@ -191,14 +181,22 @@ def _lexical(value) -> str:
 ALL_FORMATS = [SQLROWSET_FORMAT_URI, WEBROWSET_FORMAT_URI, CSV_FORMAT_URI]
 
 
-def render_rowset(data_format_uri: str, rowset: Rowset) -> XmlElement:
-    """Render *rowset* in the requested format; faults on unknown URIs."""
-    renderer = _RENDERERS.get(data_format_uri)
-    if renderer is None:
+def render_rowset(
+    data_format_uri: str, rowset: Rowset | StreamingRowset
+) -> StreamedElement:
+    """Render *rowset* in the requested format; faults on unknown URIs.
+
+    The result is a :class:`StreamedElement` whose rows are serialized
+    only when the serializer (and so the transport) pulls them.  A
+    materialized :class:`Rowset` renders the same bytes on every
+    serialization; a :class:`StreamingRowset` supports exactly one.
+    """
+    emitter = _EMITTERS.get(data_format_uri)
+    if emitter is None:
         raise InvalidDatasetFormatFault(
             f"unsupported dataset format {data_format_uri!r}"
         )
-    return renderer(rowset)
+    return emitter(rowset)
 
 
 def parse_rowset(data_format_uri: str, element: XmlElement) -> Rowset:
@@ -221,27 +219,6 @@ def _q(local: str) -> QName:
     return QName(WSDAIR_NS, local)
 
 
-def _render_sqlrowset(rowset: Rowset) -> XmlElement:
-    root = E(_q("SQLRowset"))
-    metadata = E(_q("ColumnMetadata"))
-    for index, name in enumerate(rowset.columns):
-        column = E(_q("Column"))
-        column.set("name", name)
-        if index < len(rowset.types) and rowset.types[index]:
-            column.set("type", rowset.types[index])
-        metadata.append(column)
-    root.append(metadata)
-    for row in rowset.rows:
-        row_el = E(_q("Row"))
-        for value in row:
-            if value is NULL:
-                row_el.append(E(_q("Null")))
-            else:
-                row_el.append(E(_q("Value"), value))
-        root.append(row_el)
-    return root
-
-
 def _parse_sqlrowset(element: XmlElement) -> Rowset:
     metadata = element.find(_q("ColumnMetadata"))
     columns: list[str] = []
@@ -250,46 +227,36 @@ def _parse_sqlrowset(element: XmlElement) -> Rowset:
         for column in metadata.findall(_q("Column")):
             columns.append(column.get("name", "") or "")
             types.append(column.get("type", "") or "")
+    # One pass over raw children with the tag QNames bound once.
+    # Freshly parsed trees carry the interned instances, so tags compare
+    # by identity; equality is the fallback for hand-built trees.  A
+    # Value's single merged Text child is read directly instead of
+    # through the joining ``text`` property.
+    row_qi = interned_qname(WSDAIR_NS, "Row")
+    value_qi = interned_qname(WSDAIR_NS, "Value")
+    null_qi = interned_qname(WSDAIR_NS, "Null")
     rows = []
-    if fastpath.enabled():
-        # One pass over raw children with the tag QNames bound once.
-        # Freshly parsed trees carry the interned instances, so tags
-        # compare by identity; equality is the fallback for hand-built
-        # trees.  A Value's single merged Text child is read directly
-        # instead of through the joining ``text`` property.
-        row_qi = interned_qname(WSDAIR_NS, "Row")
-        value_qi = interned_qname(WSDAIR_NS, "Value")
-        null_qi = interned_qname(WSDAIR_NS, "Null")
-        for row_el in element.children:
-            if type(row_el) is not XmlElement or (
-                row_el.tag is not row_qi and row_el.tag != row_qi
-            ):
+    for row_el in element.children:
+        if type(row_el) is not XmlElement or (
+            row_el.tag is not row_qi and row_el.tag != row_qi
+        ):
+            continue
+        values = []
+        append = values.append
+        for child in row_el.children:
+            if type(child) is not XmlElement:
                 continue
-            values = []
-            append = values.append
-            for child in row_el.children:
-                if type(child) is not XmlElement:
-                    continue
-                tag = child.tag
-                if tag is value_qi:
-                    inner = child.children
-                    if len(inner) == 1 and type(inner[0]) is Text:
-                        append(inner[0].value)
-                    else:
-                        append(child.text)
-                elif tag is null_qi or tag == null_qi:
-                    append(NULL)
+            tag = child.tag
+            if tag is value_qi:
+                inner = child.children
+                if len(inner) == 1 and type(inner[0]) is Text:
+                    append(inner[0].value)
                 else:
                     append(child.text)
-            rows.append(tuple(values))
-        return Rowset(columns, types, rows)
-    for row_el in element.findall(_q("Row")):
-        values = []
-        for child in row_el.element_children():
-            if child.tag == _q("Null"):
-                values.append(NULL)
+            elif tag is null_qi or tag == null_qi:
+                append(NULL)
             else:
-                values.append(child.text)
+                append(child.text)
         rows.append(tuple(values))
     return Rowset(columns, types, rows)
 
@@ -302,31 +269,6 @@ def _parse_sqlrowset(element: XmlElement) -> Rowset:
 @lru_cache(maxsize=None)
 def _w(local: str) -> QName:
     return QName(_WEBROWSET_NS, local)
-
-
-def _render_webrowset(rowset: Rowset) -> XmlElement:
-    metadata = E(_w("metadata"), E(_w("column-count"), len(rowset.columns)))
-    for index, name in enumerate(rowset.columns):
-        definition = E(
-            _w("column-definition"),
-            E(_w("column-index"), index + 1),
-            E(_w("column-name"), name),
-        )
-        if index < len(rowset.types) and rowset.types[index]:
-            definition.append(E(_w("column-type-name"), rowset.types[index]))
-        metadata.append(definition)
-    data = E(_w("data"))
-    for row in rowset.rows:
-        current = E(_w("currentRow"))
-        for value in row:
-            if value is NULL:
-                column_value = E(_w("columnValue"))
-                column_value.set("null", "true")
-                current.append(column_value)
-            else:
-                current.append(E(_w("columnValue"), value))
-        data.append(current)
-    return E(_w("webRowSet"), metadata, data)
 
 
 def _parse_webrowset(element: XmlElement) -> Rowset:
@@ -405,21 +347,6 @@ def _csv_split(line: str) -> list[str]:
     return [text for text, _ in _csv_split_fields(line)]
 
 
-def _render_csv(rowset: Rowset) -> XmlElement:
-    lines = [",".join(_csv_escape(name) for name in rowset.columns)]
-    for row in rowset.rows:
-        lines.append(
-            ",".join(
-                _NULL_TOKEN if value is NULL else _csv_escape(value)
-                for value in row
-            )
-        )
-    root = E(_q("CsvRowset"), "\n".join(lines))
-    root.set("columns", len(rowset.columns))
-    _set_csv_types(root, rowset)
-    return root
-
-
 def _set_csv_types(element: XmlElement, rowset) -> None:
     """CSV bodies cannot carry type names, so they ride the container
     element as a CSV-escaped attribute (escaped because type names like
@@ -470,12 +397,6 @@ def _parse_csv(element: XmlElement) -> Rowset:
     return Rowset(columns, types, rows)
 
 
-_RENDERERS = {
-    SQLROWSET_FORMAT_URI: _render_sqlrowset,
-    WEBROWSET_FORMAT_URI: _render_webrowset,
-    CSV_FORMAT_URI: _render_csv,
-}
-
 _PARSERS = {
     SQLROWSET_FORMAT_URI: _parse_sqlrowset,
     WEBROWSET_FORMAT_URI: _parse_webrowset,
@@ -484,28 +405,14 @@ _PARSERS = {
 
 
 # ---------------------------------------------------------------------------
-# Incremental emitters
+# Emitters
 # ---------------------------------------------------------------------------
 #
-# Each emitter is the streaming twin of its renderer above: it wraps a
-# rowset in a StreamedElement whose chunk source serializes column
-# metadata as one chunk and then one chunk per row, so the serialized
-# dataset is byte-for-byte what serialize() produces for the eager tree
-# — but no tree and no full string ever exist.  The rowset may be a
+# Each emitter wraps a rowset in a StreamedElement whose chunk source
+# serializes column metadata as one chunk and then the rows in batches,
+# so no tree and no full string ever exist.  The rowset may be a
 # materialized Rowset or a StreamingRowset; rows are pulled only when
 # the serializer (and so the transport) is ready to write them.
-
-
-def stream_rowset(
-    data_format_uri: str, rowset: Rowset | StreamingRowset
-) -> StreamedElement:
-    """Streaming counterpart of :func:`render_rowset`."""
-    emitter = _EMITTERS.get(data_format_uri)
-    if emitter is None:
-        raise InvalidDatasetFormatFault(
-            f"unsupported dataset format {data_format_uri!r}"
-        )
-    return emitter(rowset)
 
 
 def _rows_of(rowset: Rowset | StreamingRowset) -> Iterator[tuple]:
@@ -526,6 +433,60 @@ def _type_of(rowset: Rowset | StreamingRowset, index: int) -> str:
 _ROW_BATCH = 64
 
 
+def _row_chunks(
+    rows: Iterator[tuple], row_tag: str, value_tag: str, null_markup: str
+) -> Iterator[str]:
+    """Serialized ``<row><value>…</value></row>`` markup in batches.
+
+    The row loop shared by the SQLRowset and WebRowSet emitters, which
+    differ only in their tag names and NULL markup.  Static markup is
+    rendered once; the loop only escapes and joins.  Rows with no
+    NULL/empty values — the common shape by far — become one join over
+    the ``</value><value>`` seam.
+    """
+    open_r, close_r, empty_r = f"<{row_tag}>", f"</{row_tag}>", f"<{row_tag}/>"
+    open_v, close_v, empty_v = f"<{value_tag}>", f"</{value_tag}>", f"<{value_tag}/>"
+    pre_rv = open_r + open_v
+    post_vr = close_v + close_r
+    join_vv = (close_v + open_v).join
+    escape = escape_text
+    batch: list[str] = []
+    for row in rows:
+        if row and NULL not in row and "" not in row:
+            batch.append(
+                pre_rv
+                + join_vv(
+                    [
+                        v
+                        if "&" not in v and "<" not in v and ">" not in v
+                        else escape(v)
+                        for v in row
+                    ]
+                )
+                + post_vr
+            )
+        elif not row:
+            batch.append(empty_r)
+        else:
+            parts = [open_r]
+            for value in row:
+                if value is NULL:
+                    parts.append(null_markup)
+                elif value == "":
+                    parts.append(empty_v)
+                else:
+                    parts.append(open_v)
+                    parts.append(escape(value))
+                    parts.append(close_v)
+            parts.append(close_r)
+            batch.append("".join(parts))
+        if len(batch) >= _ROW_BATCH:
+            yield "".join(batch)
+            batch.clear()
+    if batch:
+        yield "".join(batch)
+
+
 def _stream_sqlrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
     def chunks(q) -> Iterator[str]:
         metadata_tag = q(_q("ColumnMetadata"))
@@ -543,56 +504,12 @@ def _stream_sqlrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
                 parts.append("/>")
             parts.append(f"</{metadata_tag}>")
         yield "".join(parts)
-        row_tag = q(_q("Row"))
-        value_tag = q(_q("Value"))
-        null_tag = q(_q("Null"))
-        # Static markup is rendered once; the row loop only escapes and
-        # joins.  Rows with no NULL/empty values — the common shape by
-        # far — become one join over the </Value><Value> seam.
-        open_r, close_r, empty_r = f"<{row_tag}>", f"</{row_tag}>", f"<{row_tag}/>"
-        open_v, close_v, empty_v = f"<{value_tag}>", f"</{value_tag}>", f"<{value_tag}/>"
-        null_v = f"<{null_tag}/>"
-        pre_rv = open_r + open_v
-        post_vr = close_v + close_r
-        join_vv = (close_v + open_v).join
-        escape = escape_text
-        fast = fastpath.enabled()
-        limit = _ROW_BATCH if fast else 1
-        batch: list[str] = []
-        for row in _rows_of(rowset):
-            if fast and row and NULL not in row and "" not in row:
-                batch.append(
-                    pre_rv
-                    + join_vv(
-                        [
-                            v
-                            if "&" not in v and "<" not in v and ">" not in v
-                            else escape(v)
-                            for v in row
-                        ]
-                    )
-                    + post_vr
-                )
-            elif not row:
-                batch.append(empty_r)
-            else:
-                parts = [open_r]
-                for value in row:
-                    if value is NULL:
-                        parts.append(null_v)
-                    elif value == "":
-                        parts.append(empty_v)
-                    else:
-                        parts.append(open_v)
-                        parts.append(escape(value))
-                        parts.append(close_v)
-                parts.append(close_r)
-                batch.append("".join(parts))
-            if len(batch) >= limit:
-                yield "".join(batch)
-                batch.clear()
-        if batch:
-            yield "".join(batch)
+        yield from _row_chunks(
+            _rows_of(rowset),
+            q(_q("Row")),
+            q(_q("Value")),
+            f"<{q(_q('Null'))}/>",
+        )
 
     return StreamedElement(_q("SQLRowset"), chunks)
 
@@ -622,56 +539,20 @@ def _stream_webrowset(rowset: Rowset | StreamingRowset) -> StreamedElement:
         yield "".join(parts)
 
         data_tag = q(_w("data"))
-        row_tag = q(_w("currentRow"))
+        rows = _rows_of(rowset)
+        first = next(rows, None)
+        if first is None:
+            yield f"<{data_tag}/>"
+            return
+        yield f"<{data_tag}>"
         value_tag = q(_w("columnValue"))
-        open_r, close_r, empty_r = f"<{row_tag}>", f"</{row_tag}>", f"<{row_tag}/>"
-        open_v, close_v, empty_v = f"<{value_tag}>", f"</{value_tag}>", f"<{value_tag}/>"
-        null_v = f'<{value_tag} null="true"/>'
-        pre_rv = open_r + open_v
-        post_vr = close_v + close_r
-        join_vv = (close_v + open_v).join
-        escape = escape_text
-        fast = fastpath.enabled()
-        limit = _ROW_BATCH if fast else 1
-        opened = False
-        batch: list[str] = []
-        for row in _rows_of(rowset):
-            if not opened:
-                batch.append(f"<{data_tag}>")
-                opened = True
-            if fast and row and NULL not in row and "" not in row:
-                batch.append(
-                    pre_rv
-                    + join_vv(
-                        [
-                            v
-                            if "&" not in v and "<" not in v and ">" not in v
-                            else escape(v)
-                            for v in row
-                        ]
-                    )
-                    + post_vr
-                )
-            elif not row:
-                batch.append(empty_r)
-            else:
-                parts = [open_r]
-                for value in row:
-                    if value is NULL:
-                        parts.append(null_v)
-                    elif value == "":
-                        parts.append(empty_v)
-                    else:
-                        parts.append(open_v)
-                        parts.append(escape(value))
-                        parts.append(close_v)
-                parts.append(close_r)
-                batch.append("".join(parts))
-            if len(batch) >= limit:
-                yield "".join(batch)
-                batch.clear()
-        batch.append(f"</{data_tag}>" if opened else f"<{data_tag}/>")
-        yield "".join(batch)
+        yield from _row_chunks(
+            chain((first,), rows),
+            q(_w("currentRow")),
+            value_tag,
+            f'<{value_tag} null="true"/>',
+        )
+        yield f"</{data_tag}>"
 
     return StreamedElement(_w("webRowSet"), chunks)
 
@@ -681,7 +562,6 @@ def _stream_csv(rowset: Rowset | StreamingRowset) -> StreamedElement:
         header = ",".join(_csv_escape(name) for name in rowset.columns)
         if header:
             yield escape_text(header)
-        limit = _ROW_BATCH if fastpath.enabled() else 1
         batch: list[str] = []
         for row in _rows_of(rowset):
             line = ",".join(
@@ -689,7 +569,7 @@ def _stream_csv(rowset: Rowset | StreamingRowset) -> StreamedElement:
                 for value in row
             )
             batch.append(escape_text("\n" + line))
-            if len(batch) >= limit:
+            if len(batch) >= _ROW_BATCH:
                 yield "".join(batch)
                 batch.clear()
         if batch:

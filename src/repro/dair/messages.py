@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
-from repro import fastpath
 from repro.core.messages import (
     DaisMessage,
     DaisRequest,
@@ -158,9 +157,7 @@ class SQLExecuteResponse(DaisMessage):
             # mutate and a 1000-row rowset deep copy would dominate the
             # response render (fig-2 message-layer share).
             wrapper = E(_q("SQLDataset"))
-            wrapper.append(
-                self.dataset if fastpath.enabled() else self.dataset.copy()
-            )
+            wrapper.append(self.dataset)
             root.append(wrapper)
         root.append(E(_q("SQLUpdateCount"), self.update_count))
         if self.communication_factory is not None:
@@ -178,7 +175,7 @@ class SQLExecuteResponse(DaisMessage):
             if children:
                 # Shared with the (single-use) request tree, not copied —
                 # deep-copying a 1000-row rowset dominates client parse time.
-                dataset = children[0] if fastpath.enabled() else children[0].copy()
+                dataset = children[0]
         area_el = element.find(_q("SQLCommunicationArea"))
         return cls(
             dataset_format_uri=element.findtext(
@@ -396,9 +393,7 @@ class GetSQLRowsetResponse(DaisMessage):
         )
         if self.dataset is not None:
             # Shared, not copied — see SQLExecuteResponse.to_xml.
-            root.append(
-                self.dataset if fastpath.enabled() else self.dataset.copy()
-            )
+            root.append(self.dataset)
         return root
 
     @classmethod
@@ -413,9 +408,7 @@ class GetSQLRowsetResponse(DaisMessage):
                 QName(WSDAI_NS, "DatasetFormatURI"), ""
             )
             or "",
-            dataset=(children[0] if fastpath.enabled() else children[0].copy())
-            if children
-            else None,
+            dataset=children[0] if children else None,
         )
 
 
@@ -639,9 +632,7 @@ class GetTuplesResponse(DaisMessage):
         )
         if self.dataset is not None:
             # Shared, not copied — see SQLExecuteResponse.to_xml.
-            root.append(
-                self.dataset if fastpath.enabled() else self.dataset.copy()
-            )
+            root.append(self.dataset)
         return root
 
     @classmethod
@@ -653,8 +644,6 @@ class GetTuplesResponse(DaisMessage):
                 QName(WSDAI_NS, "DatasetFormatURI"), ""
             )
             or "",
-            dataset=(children[0] if fastpath.enabled() else children[0].copy())
-            if children
-            else None,
+            dataset=children[0] if children else None,
             total_rows=int(element.findtext(_q("TotalRows"), "0") or "0"),
         )

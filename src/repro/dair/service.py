@@ -26,7 +26,6 @@ from repro.dair.datasets import (
     Rowset,
     StreamingRowset,
     render_rowset,
-    stream_rowset,
 )
 from repro.dair.namespaces import (
     SQL_ACCESS_PT,
@@ -68,7 +67,6 @@ class SQLRealisationService(DataService):
         port_types: Iterable[str] = tuple(PORT_TYPES),
         response_target: Optional["SQLRealisationService"] = None,
         rowset_target: Optional["SQLRealisationService"] = None,
-        stream_datasets: bool = True,
         **kwargs,
     ) -> None:
         from repro.core.namespaces import WSDAI_NS
@@ -78,10 +76,6 @@ class SQLRealisationService(DataService):
             {"wsdai": WSDAI_NS, "wsdair": WSDAIR_NS},
         )
         super().__init__(name, address, **kwargs)
-        #: Stream SQLExecute datasets (lazy rows + incremental emitter)
-        #: instead of materialising them; off reproduces the old
-        #: O(result)-memory path, which the fig-5 benchmark compares.
-        self.stream_datasets = stream_datasets
         self._rows_streamed = self.metrics.counter(
             "rowset.rows.streamed",
             "Rows emitted through streamed dataset responses",
@@ -233,7 +227,7 @@ class SQLRealisationService(DataService):
                 request.expression,
                 request.parameters,
                 binding.configurable,
-                stream=self.stream_datasets,
+                stream=True,
             )
         dataset = None
         communication_factory = None
@@ -244,7 +238,7 @@ class SQLRealisationService(DataService):
                 # communication area (serialized after the dataset)
                 # reports the count that actually went out.
                 rowset = StreamingRowset.from_result(result)
-                dataset = stream_rowset(format_uri, rowset)
+                dataset = render_rowset(format_uri, rowset)
 
                 def communication_factory(
                     rowset: StreamingRowset = rowset,
@@ -548,14 +542,11 @@ class SQLRealisationService(DataService):
         resource: SQLResponseResource = binding.resource
         format_uri = request.dataset_format_uri or SQLROWSET_FORMAT_URI
         rowset = resource.rowset()
-        if self.stream_datasets:
-            # The response rowset is already materialized, but emitting
-            # it incrementally lets the transport chunk the reply
-            # instead of buffering one giant serialized string.
-            dataset = stream_rowset(format_uri, rowset)
-            self._rows_streamed.inc(rowset.row_count)
-        else:
-            dataset = render_rowset(format_uri, rowset)
+        # The response rowset is already materialized, but emitting it
+        # incrementally lets the transport chunk the reply instead of
+        # buffering one giant serialized string.
+        dataset = render_rowset(format_uri, rowset)
+        self._rows_streamed.inc(rowset.row_count)
         return msg.GetSQLRowsetResponse(
             dataset_format_uri=format_uri,
             dataset=dataset,

@@ -20,6 +20,11 @@ from repro.xmlutil import parse, serialize
 FORMATS = [SQLROWSET_FORMAT_URI, WEBROWSET_FORMAT_URI, CSV_FORMAT_URI]
 
 
+def _rendered_tree(format_uri, rowset):
+    """The emitted dataset as a parsed tree, via real XML text."""
+    return parse(serialize(render_rowset(format_uri, rowset)))
+
+
 @pytest.fixture()
 def rowset():
     return Rowset(
@@ -36,24 +41,22 @@ def rowset():
 class TestFormats:
     @pytest.mark.parametrize("format_uri", FORMATS)
     def test_round_trip(self, format_uri, rowset):
-        rendered = render_rowset(format_uri, rowset)
-        text = serialize(rendered)  # through real XML text
-        parsed = parse_rowset(format_uri, parse(text))
+        parsed = parse_rowset(format_uri, _rendered_tree(format_uri, rowset))
         assert parsed == rowset
 
     def test_unknown_format_faults(self, rowset):
         with pytest.raises(InvalidDatasetFormatFault):
             render_rowset("urn:fmt:nope", rowset)
         with pytest.raises(InvalidDatasetFormatFault):
-            parse_rowset("urn:fmt:nope", render_rowset(FORMATS[0], rowset))
+            parse_rowset("urn:fmt:nope", _rendered_tree(FORMATS[0], rowset))
 
     def test_sqlrowset_structure(self, rowset):
-        rendered = render_rowset(SQLROWSET_FORMAT_URI, rowset)
+        rendered = _rendered_tree(SQLROWSET_FORMAT_URI, rowset)
         assert rendered.tag.local == "SQLRowset"
         assert len(rendered.descendants("{%s}Row" % rendered.tag.namespace)) == 3
 
     def test_webrowset_structure(self, rowset):
-        rendered = render_rowset(WEBROWSET_FORMAT_URI, rowset)
+        rendered = _rendered_tree(WEBROWSET_FORMAT_URI, rowset)
         assert rendered.tag.local == "webRowSet"
         ns = rendered.tag.namespace
         count = rendered.find("{%s}metadata" % ns).findtext(
@@ -69,9 +72,7 @@ class TestFormats:
     def test_empty_rowset_round_trips(self):
         empty = Rowset(columns=["a"], types=[""], rows=[])
         for format_uri in FORMATS:
-            parsed = parse_rowset(
-                format_uri, render_rowset(format_uri, empty)
-            )
+            parsed = parse_rowset(format_uri, _rendered_tree(format_uri, empty))
             assert parsed.columns == ["a"]
             assert parsed.rows == []
 
@@ -123,5 +124,5 @@ class TestFormatProperties:
         columns, rows = data
         rowset = Rowset(columns, ["" for _ in columns], rows)
         for format_uri in FORMATS:
-            text = serialize(render_rowset(format_uri, rowset))
-            assert parse_rowset(format_uri, parse(text)) == rowset
+            tree = _rendered_tree(format_uri, rowset)
+            assert parse_rowset(format_uri, tree) == rowset

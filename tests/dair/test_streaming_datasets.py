@@ -1,5 +1,17 @@
-"""Streamed dataset emitters, type metadata plumbing and CSV robustness."""
+"""Dataset emitters, type metadata plumbing and CSV robustness.
 
+Every dataset format has one emitter, ``render_rowset``.  Its wire
+bytes for a fixed corpus (NULL, empty and literal ``\\N`` values, XML
+and CSV structure characters, typed and untyped columns, zero rows and
+zero columns) are snapshotted under ``golden/``; the snapshots were
+captured from the tree renderers the emitter replaced.
+
+Regenerate deliberately with::
+
+    PYTHONPATH=src python tests/dair/test_streaming_datasets.py --regen
+"""
+
+import pathlib
 import random
 
 import pytest
@@ -14,13 +26,52 @@ from repro.dair.datasets import (
     StreamingRowset,
     parse_rowset,
     render_rowset,
-    stream_rowset,
 )
 from repro.relational import Database
 from repro.relational.types import NULL
-from repro.xmlutil import serialize, serialize_chunks
+from repro.xmlutil import parse, serialize, serialize_chunks
 
 ALL_FORMATS = [SQLROWSET_FORMAT_URI, WEBROWSET_FORMAT_URI, CSV_FORMAT_URI]
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+#: Golden file suffix per format: ``<case>.<suffix>.xml``.
+GOLDEN_SUFFIX = {
+    SQLROWSET_FORMAT_URI: "sqlrowset",
+    WEBROWSET_FORMAT_URI: "webrowset",
+    CSV_FORMAT_URI: "csv",
+}
+
+GOLDEN_CORPUS = {
+    "mixed": Rowset(
+        columns=["id", "label", "note", "price"],
+        types=["INTEGER", "", "VARCHAR(16)", "DECIMAL(10,2)"],
+        rows=[
+            ("1", "plain", "caf\u00e9", "9.99"),
+            ("2", NULL, "", "\\N"),
+            ("3", '& < > "', "a,b", 'quo"te'),
+            ("4", "line\nbreak", 'x,"y"\r\nz', ""),
+            (NULL, NULL, NULL, NULL),
+            ("", "", "", ""),
+        ],
+    ),
+    "untyped": Rowset(
+        columns=["a,b", 'q"c', "<x&y>"],
+        types=["", "", ""],
+        rows=[("x", "y", "z"), ('"', ",", "\n"), ("\\N", "&amp;", NULL)],
+    ),
+    "zero_rows": Rowset(
+        columns=["k", "v"], types=["INTEGER", "VARCHAR(8)"], rows=[]
+    ),
+    "zero_columns": Rowset(columns=[], types=[], rows=[]),
+}
+
+
+def golden_text(case: str, format_uri: str) -> str:
+    """The snapshotted serialization of ``GOLDEN_CORPUS[case]``."""
+    path = GOLDEN_DIR / f"{case}.{GOLDEN_SUFFIX[format_uri]}.xml"
+    return path.read_bytes().decode("utf-8")
+
 
 NASTY = [
     "plain",
@@ -99,34 +150,45 @@ class TestStreamingRowset:
         assert rowset.materialize().rows == [("1",), ("2",)]
 
 
+def _round_trip(format_uri: str, rowset) -> Rowset:
+    """Emit, serialize to real XML text, parse back."""
+    return parse_rowset(
+        format_uri, parse(serialize(render_rowset(format_uri, rowset)))
+    )
+
+
 class TestEmitterParity:
-    """A streamed dataset must serialize byte-for-byte identically to the
-    eager render of the same rowset, for every format."""
+    """Whichever way a dataset is drained — chunk by chunk (the chunked
+    HTTP writer) or as one string (the loopback transport) — and
+    whichever rowset backs it, the bytes are the same."""
 
     @pytest.mark.parametrize("format_uri", ALL_FORMATS)
     def test_fuzzed_parity(self, format_uri):
         rng = random.Random(20260806)
         for _ in range(150):
             rowset = _random_rowset(rng)
-            eager = serialize(render_rowset(format_uri, rowset))
-            streamed_element = stream_rowset(format_uri, rowset)
-            assert "".join(serialize_chunks(streamed_element)) == eager
-            # Draining a StreamedElement through the eager serializer
-            # must agree too (the loopback transport path).
-            assert serialize(stream_rowset(format_uri, rowset)) == eager
+            whole = serialize(render_rowset(format_uri, rowset))
+            chunked = "".join(serialize_chunks(render_rowset(format_uri, rowset)))
+            assert chunked == whole
+            lazy = StreamingRowset(rowset.columns, rowset.types, iter(rowset.rows))
+            assert serialize(render_rowset(format_uri, lazy)) == whole
+            parsed = parse_rowset(format_uri, parse(whole))
+            assert parsed.columns == rowset.columns
+            assert parsed.rows == rowset.rows
 
     @pytest.mark.parametrize("format_uri", ALL_FORMATS)
     def test_empty_rowset_parity(self, format_uri):
-        rowset = Rowset([], [], [])
-        eager = serialize(render_rowset(format_uri, rowset))
-        assert "".join(serialize_chunks(stream_rowset(format_uri, rowset))) == eager
+        rowset = GOLDEN_CORPUS["zero_columns"]
+        chunked = "".join(serialize_chunks(render_rowset(format_uri, rowset)))
+        assert chunked == golden_text("zero_columns", format_uri)
 
     @pytest.mark.parametrize("format_uri", ALL_FORMATS)
     def test_streaming_source_parity(self, format_uri):
-        rowset = Rowset(["a", "b"], ["INTEGER", ""], [("1", "x"), (NULL, "")])
-        lazy = StreamingRowset(rowset.columns, rowset.types, iter(rowset.rows))
-        eager = serialize(render_rowset(format_uri, rowset))
-        assert "".join(serialize_chunks(stream_rowset(format_uri, lazy))) == eager
+        for case, rowset in GOLDEN_CORPUS.items():
+            lazy = StreamingRowset(rowset.columns, rowset.types, iter(rowset.rows))
+            chunked = "".join(serialize_chunks(render_rowset(format_uri, lazy)))
+            assert chunked == golden_text(case, format_uri), case
+            assert lazy.rows_streamed == rowset.row_count
 
 
 class TestTypeMetadataRoundTrip:
@@ -149,19 +211,28 @@ class TestTypeMetadataRoundTrip:
     @pytest.mark.parametrize("format_uri", ALL_FORMATS)
     def test_types_round_trip(self, typed_result, format_uri):
         rowset = Rowset.from_result(typed_result)
-        parsed = parse_rowset(
-            format_uri, render_rowset(format_uri, rowset)
-        )
+        parsed = _round_trip(format_uri, rowset)
         assert parsed.types == ["INTEGER", "VARCHAR(8)", "DECIMAL(10)"]
         assert parsed.columns == ["k", "v", "d"]
         assert parsed.rows == rowset.rows
 
     def test_comma_bearing_type_survives_csv(self):
         rowset = Rowset(["d"], ["DECIMAL(10,2)"], [("1.25",)])
-        parsed = parse_rowset(
-            CSV_FORMAT_URI, render_rowset(CSV_FORMAT_URI, rowset)
-        )
+        parsed = _round_trip(CSV_FORMAT_URI, rowset)
         assert parsed.types == ["DECIMAL(10,2)"]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CORPUS))
+@pytest.mark.parametrize("format_uri", ALL_FORMATS)
+def test_golden_dataset_bytes(case, format_uri):
+    expected = golden_text(case, format_uri)
+    element = render_rowset(format_uri, GOLDEN_CORPUS[case])
+    assert serialize(element) == expected, (
+        f"{case} drifted from its golden snapshot; if intentional, "
+        "regenerate with --regen and review the diff"
+    )
+    # A materialized rowset re-iterates its rows on every drain.
+    assert serialize(element) == expected
 
 
 class TestCsvRoundTrip:
@@ -169,17 +240,13 @@ class TestCsvRoundTrip:
         rng = random.Random(8062026)
         for _ in range(300):
             rowset = _random_rowset(rng)
-            parsed = parse_rowset(
-                CSV_FORMAT_URI, render_rowset(CSV_FORMAT_URI, rowset)
-            )
+            parsed = _round_trip(CSV_FORMAT_URI, rowset)
             assert parsed.columns == rowset.columns
             assert parsed.rows == rowset.rows
 
     def test_quoted_null_token_stays_literal(self):
         rowset = Rowset(["c"], [""], [(NULL,), ("\\N",)])
-        parsed = parse_rowset(
-            CSV_FORMAT_URI, render_rowset(CSV_FORMAT_URI, rowset)
-        )
+        parsed = _round_trip(CSV_FORMAT_URI, rowset)
         assert parsed.rows[0][0] is NULL
         assert parsed.rows[1][0] == "\\N"
 
@@ -189,7 +256,25 @@ class TestCsvRoundTrip:
             ["", ""],
             [('x,"y"', "line\none"), ("", ","), ('"', "\r")],
         )
-        parsed = parse_rowset(
-            CSV_FORMAT_URI, render_rowset(CSV_FORMAT_URI, rowset)
-        )
+        parsed = _round_trip(CSV_FORMAT_URI, rowset)
         assert parsed.rows == rowset.rows
+
+
+def _regen() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for case, rowset in GOLDEN_CORPUS.items():
+        for format_uri, suffix in GOLDEN_SUFFIX.items():
+            text = serialize(render_rowset(format_uri, rowset))
+            (GOLDEN_DIR / f"{case}.{suffix}.xml").write_bytes(
+                text.encode("utf-8")
+            )
+            print(f"wrote golden/{case}.{suffix}.xml")
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regen" in sys.argv:
+        _regen()
+    else:
+        print(__doc__)

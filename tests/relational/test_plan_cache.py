@@ -12,16 +12,10 @@ import threading
 
 import pytest
 
-from repro import fastpath
 from repro.obs import MetricsRegistry
 from repro.relational import Database, PlanCache, PlanEntry
 from repro.relational.errors import CatalogError
 from repro.relational.parser import parse_statement
-
-
-pytestmark = pytest.mark.skipif(
-    not fastpath.enabled(), reason="plan cache is bypassed with REPRO_FASTPATH=0"
-)
 
 
 @pytest.fixture()

@@ -2,7 +2,10 @@
 
 Content-Encoding is a *payload* property: the framing — Content-Length
 of the encoded bytes on the eager path, chunk framing of the compressed
-stream on the streamed path — is untouched.  These tests pin that:
+stream on the streamed path — is untouched.  Every dataset response is
+streamed, so the eager path is exercised with responses that carry
+none: a zero-row UPDATE and a property document.
+These tests pin that:
 
 * the compressed body decodes to exactly the bytes an uncompressed
   exchange produces (eager and chunked);
@@ -20,7 +23,12 @@ import pytest
 
 from repro.client.sql import SQLClient
 from repro.core import ServiceRegistry, mint_abstract_name
-from repro.dair import SQLDataResource, SQLRealisationService
+from repro.dair import (
+    Rowset,
+    SQLDataResource,
+    SQLRealisationService,
+    parse_rowset,
+)
 from repro.dair import messages as msg
 from repro.relational import Database
 from repro.soap.addressing import MessageHeaders
@@ -46,58 +54,64 @@ def _normalize(payload: bytes) -> bytes:
     return _UUID.sub(b"UUID", payload)
 
 
-def _deployment(stream_datasets: bool):
+def _rows():
+    return [(str(i), f"value-{i:05d}-padding-padding") for i in range(ROWS)]
+
+
+@pytest.fixture()
+def deployment():
     registry = ServiceRegistry()
     server = DaisHttpServer(registry, port=0)
     address = server.url_for("/sql")
-    service = SQLRealisationService(
-        "gzip-sql", address, stream_datasets=stream_datasets
-    )
+    service = SQLRealisationService("gzip-sql", address)
     registry.register(service)
     database = Database("gzipdb")
     database.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(40))")
     database.execute(
         "INSERT INTO t VALUES "
-        + ",".join(f"({i},'value-{i:05d}-padding-padding')" for i in range(ROWS))
+        + ",".join(f"({i},'{v}')" for i, v in _rows())
     )
     resource = SQLDataResource(mint_abstract_name("t"), database)
     service.add_resource(resource)
-    return server, address, resource
-
-
-@pytest.fixture()
-def eager():
-    server, address, resource = _deployment(stream_datasets=False)
     with server:
         yield server, address, resource
 
 
-@pytest.fixture()
-def chunked():
-    server, address, resource = _deployment(stream_datasets=True)
-    with server:
-        yield server, address, resource
-
-
-def _query_bytes(resource, expression="SELECT id, v FROM t"):
+def _request_bytes(message) -> bytes:
     return Envelope(
-        headers=MessageHeaders(
-            to="", action=msg.SQLExecuteRequest.action()
-        ),
-        payload=msg.SQLExecuteRequest(
-            abstract_name=resource.abstract_name, expression=expression
-        ).to_xml(),
+        headers=MessageHeaders(to="", action=message.action()),
+        payload=message.to_xml(),
     ).to_bytes()
 
 
-def _post(server, body, accept_gzip):
+def _query_bytes(resource, expression="SELECT id, v FROM t"):
+    return _request_bytes(
+        msg.SQLExecuteRequest(
+            abstract_name=resource.abstract_name, expression=expression
+        )
+    )
+
+
+#: No dataset in the response, so it goes out eagerly; its bytes are
+#: the same on every call (a property document embeds live counters).
+NO_OP_UPDATE = "UPDATE t SET v = v WHERE id = -1"
+
+
+def _property_document_bytes(resource):
+    """A response that carries no dataset, so it goes out eagerly."""
+    return _request_bytes(
+        msg.GetSQLPropertyDocumentRequest(abstract_name=resource.abstract_name)
+    )
+
+
+def _post(server, body, accept_gzip, path="/sql"):
     """One raw exchange; returns (status, headers, raw body bytes)."""
     headers = {"Content-Type": "text/xml; charset=utf-8"}
     if accept_gzip:
         headers["Accept-Encoding"] = "gzip"
     conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
     try:
-        conn.request("POST", "/sql", body=body, headers=headers)
+        conn.request("POST", path, body=body, headers=headers)
         reply = conn.getresponse()
         return reply.status, reply.headers, reply.read()
     finally:
@@ -105,12 +119,14 @@ def _post(server, body, accept_gzip):
 
 
 class TestEagerPath:
-    def test_gzip_body_decodes_byte_identically(self, eager):
-        server, address, resource = eager
-        body = _query_bytes(resource)
+    def test_gzip_body_decodes_byte_identically(self, deployment):
+        server, address, resource = deployment
+        body = _query_bytes(resource, NO_OP_UPDATE)
         status, plain_headers, plain = _post(server, body, accept_gzip=False)
         assert status == 200
         assert plain_headers.get("Content-Encoding") is None
+        assert plain_headers.get("Transfer-Encoding") is None
+        assert len(plain) > GZIP_FLOOR_BYTES
 
         status, gz_headers, compressed = _post(server, body, accept_gzip=True)
         assert status == 200
@@ -127,25 +143,28 @@ class TestEagerPath:
         assert gzip_compress(payload) == gzip_compress(payload)
         assert gunzip(gzip_compress(payload)) == payload
 
-    def test_response_under_floor_stays_uncompressed(self, eager, monkeypatch):
+    def test_response_under_floor_stays_uncompressed(
+        self, deployment, monkeypatch
+    ):
         # The smallest SOAP envelope is bigger than the shipped floor,
         # so raise the floor to put this response under it.
         monkeypatch.setattr(
             "repro.transport.httpserver.GZIP_FLOOR_BYTES", 10_000
         )
-        server, address, resource = eager
-        body = _query_bytes(resource, "SELECT id FROM t WHERE id = -1")
+        server, address, resource = deployment
+        body = _property_document_bytes(resource)
         status, headers, raw = _post(server, body, accept_gzip=True)
         assert status == 200
+        assert headers.get("Transfer-Encoding") is None
         assert headers.get("Content-Encoding") is None
         assert len(raw) < 10_000
         assert GZIP_FLOOR_BYTES < 10_000  # shipped floor untouched
 
-    def test_server_compression_kill_switch(self, eager):
-        server, address, resource = eager
+    def test_server_compression_kill_switch(self, deployment):
+        server, address, resource = deployment
         server.compression = False
         try:
-            body = _query_bytes(resource)
+            body = _property_document_bytes(resource)
             status, headers, raw = _post(server, body, accept_gzip=True)
             assert status == 200
             assert headers.get("Content-Encoding") is None
@@ -154,8 +173,8 @@ class TestEagerPath:
 
 
 class TestChunkedPath:
-    def test_chunked_gzip_decodes_byte_identically(self, chunked):
-        server, address, resource = chunked
+    def test_chunked_gzip_decodes_byte_identically(self, deployment):
+        server, address, resource = deployment
         body = _query_bytes(resource)
         status, plain_headers, plain = _post(server, body, accept_gzip=False)
         assert status == 200
@@ -169,7 +188,7 @@ class TestChunkedPath:
         assert _normalize(gunzip(compressed)) == _normalize(plain)
 
     def test_short_stream_under_floor_stays_uncompressed(
-        self, chunked, monkeypatch
+        self, deployment, monkeypatch
     ):
         # A stream that ends before the (raised) floor is reached must
         # commit headers without Content-Encoding and send the buffered
@@ -177,7 +196,7 @@ class TestChunkedPath:
         monkeypatch.setattr(
             "repro.transport.httpserver.GZIP_FLOOR_BYTES", 1_000_000
         )
-        server, address, resource = chunked
+        server, address, resource = deployment
         body = _query_bytes(resource, "SELECT id FROM t WHERE id = 0")
         status, headers, raw = _post(server, body, accept_gzip=True)
         assert status == 200
@@ -186,17 +205,60 @@ class TestChunkedPath:
         assert b"SQLExecuteResponse" in raw
 
 
+    def test_get_tuples_page_goes_out_chunked_and_gzipped(self, deployment):
+        # A materialized GetTuples page rides the same emitter as a
+        # streamed SQLExecute: chunked framing, gzip-encoded, and it
+        # still parses to the same rowset over a reusable connection.
+        server, address, resource = deployment
+        client = SQLClient(HttpTransport())
+        factory = client.sql_execute_factory(
+            address, resource.abstract_name, "SELECT id, v FROM t"
+        )
+        rowsets = client.sql_rowset_factory(
+            factory.address, factory.abstract_name
+        )
+        page = msg.GetTuplesRequest(
+            abstract_name=rowsets.abstract_name, start_position=0, count=100
+        )
+        path = "/" + rowsets.address.address.split("/", 3)[3]
+        status, headers, compressed = _post(
+            server, _request_bytes(page), accept_gzip=True, path=path
+        )
+        assert status == 200
+        assert headers.get("Transfer-Encoding") == "chunked"
+        assert headers.get("Content-Encoding") == "gzip"
+        assert headers.get("Content-Length") is None
+        reply = msg.GetTuplesResponse.from_xml(
+            Envelope.from_bytes(gunzip(compressed)).payload
+        )
+        expected = Rowset(["id", "v"], ["INTEGER", "VARCHAR(40)"], _rows()[:100])
+        parsed = parse_rowset(reply.dataset_format_uri, reply.dataset)
+        assert parsed == expected
+        assert parsed.types == expected.types
+        assert reply.total_rows == ROWS
+
+        transport = HttpTransport()
+        pooled = SQLClient(transport)
+        for _ in range(3):
+            window, total = pooled.get_tuples(
+                rowsets.address, rowsets.abstract_name, 0, 100
+            )
+            assert window == expected
+            assert total == ROWS
+        reused = transport.metrics.counter("rpc.client.connections.reused")
+        assert reused.total() >= 2
+
+
 class TestTransportIntegration:
-    def test_keep_alive_connection_reusable_after_gzip(self, eager):
-        server, address, resource = eager
+    def test_keep_alive_connection_reusable_after_gzip(self, deployment):
+        server, address, resource = deployment
         transport = HttpTransport()
         client = SQLClient(transport)
         for _ in range(3):
-            rowset = client.sql_query_rowset(
-                address, resource.abstract_name,
-                "SELECT id, v FROM t",
+            document = client.get_sql_property_document(
+                address, resource.abstract_name
             )
-            assert len(rowset.rows) == ROWS
+            assert document is not None
         reused = transport.metrics.counter("rpc.client.connections.reused")
         assert reused.total() >= 2
         # And the exchanges really were compressed: the client counted
@@ -207,8 +269,8 @@ class TestTransportIntegration:
         ).total()
         assert wire_in == decoded  # both count post-compression bytes
 
-    def test_chunked_keep_alive_reusable_after_gzip(self, chunked):
-        server, address, resource = chunked
+    def test_chunked_keep_alive_reusable_after_gzip(self, deployment):
+        server, address, resource = deployment
         transport = HttpTransport()
         client = SQLClient(transport)
         for _ in range(3):
@@ -220,16 +282,14 @@ class TestTransportIntegration:
         reused = transport.metrics.counter("rpc.client.connections.reused")
         assert reused.total() >= 2
 
-    def test_client_compression_kill_switch(self, eager):
-        server, address, resource = eager
+    def test_client_compression_kill_switch(self, deployment):
+        server, address, resource = deployment
         transport = HttpTransport(compression=False)
         client = SQLClient(transport)
-        client.sql_query_rowset(
-            address, resource.abstract_name, "SELECT id, v FROM t"
-        )
+        client.get_sql_property_document(address, resource.abstract_name)
         compressed = HttpTransport()
-        SQLClient(compressed).sql_query_rowset(
-            address, resource.abstract_name, "SELECT id, v FROM t"
+        SQLClient(compressed).get_sql_property_document(
+            address, resource.abstract_name
         )
         plain_bytes = transport.metrics.counter("http.bytes.in").total()
         gzip_bytes = compressed.metrics.counter("http.bytes.in").total()

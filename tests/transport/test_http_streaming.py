@@ -1,4 +1,8 @@
-"""Chunked transfer of streamed datasets over the real HTTP binding."""
+"""Chunked transfer of streamed datasets over the real HTTP binding.
+
+Every response that carries a dataset is chunked; responses without one
+(property documents, update counts) keep Content-Length.
+"""
 
 import http.client
 
@@ -16,11 +20,9 @@ from repro.transport import DaisHttpServer, HttpTransport
 ROWS = 300
 
 
-def _build(registry: ServiceRegistry, server: DaisHttpServer, stream=True):
+def _build(registry: ServiceRegistry, server: DaisHttpServer):
     address = server.url_for("/sql")
-    service = SQLRealisationService(
-        "stream-sql", address, stream_datasets=stream
-    )
+    service = SQLRealisationService("stream-sql", address)
     registry.register(service)
     database = Database("chunkdb")
     database.execute("CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(20))")
@@ -42,15 +44,19 @@ def http_setup():
         yield server, address, name, service
 
 
-def _raw_exchange(server, address, name, sql):
-    """POST via raw http.client so response headers are inspectable."""
+def _raw_exchange(server, address, name, sql=None):
+    """POST via raw http.client so response headers are inspectable.
+
+    Sends an SQLExecute of *sql*, or a GetSQLPropertyDocument (a
+    response with no dataset) when *sql* is omitted."""
+    message = (
+        msg.GetSQLPropertyDocumentRequest(abstract_name=name)
+        if sql is None
+        else msg.SQLExecuteRequest(abstract_name=name, expression=sql)
+    )
     request = Envelope(
-        headers=MessageHeaders(
-            to=address, action=msg.SQLExecuteRequest.action()
-        ),
-        payload=msg.SQLExecuteRequest(
-            abstract_name=name, expression=sql
-        ).to_xml(),
+        headers=MessageHeaders(to=address, action=message.action()),
+        payload=message.to_xml(),
     )
     conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
     try:
@@ -77,14 +83,17 @@ class TestChunkedResponses:
         envelope = Envelope.from_bytes(body)
         assert not envelope.is_fault()
 
-    def test_pipeline_breaker_stays_content_length(self, http_setup):
+    def test_pipeline_breaker_goes_out_chunked(self, http_setup):
+        # ORDER BY materializes its rows in the engine; the dataset is
+        # still emitted incrementally, so the framing is chunked too.
         server, address, name, _ = http_setup
         reply, body = _raw_exchange(
             server, address, name, "SELECT v FROM t ORDER BY k"
         )
         assert reply.status == 200
-        assert reply.getheader("Transfer-Encoding") is None
-        assert int(reply.getheader("Content-Length")) == len(body)
+        assert reply.getheader("Transfer-Encoding") == "chunked"
+        assert reply.getheader("Content-Length") is None
+        assert not Envelope.from_bytes(body).is_fault()
 
     def test_chunk_counter_increments(self, http_setup):
         server, address, name, _ = http_setup
@@ -120,14 +129,15 @@ class TestChunkedResponses:
         transport.close()
 
     def test_streamed_and_eager_bodies_agree(self, http_setup):
-        server, address, name, service = http_setup
+        # The same rows pulled lazily from the engine (a plain scan)
+        # and materialized by it first (ORDER BY on the scan order)
+        # must go out as the same dataset bytes.
+        server, address, name, _ = http_setup
         sql = "SELECT k, v FROM t WHERE k < 25"
         _, streamed_body = _raw_exchange(server, address, name, sql)
-        service.stream_datasets = False
-        try:
-            _, eager_body = _raw_exchange(server, address, name, sql)
-        finally:
-            service.stream_datasets = True
+        _, eager_body = _raw_exchange(
+            server, address, name, sql + " ORDER BY k"
+        )
         from repro.xmlutil import serialize
 
         streamed = Envelope.from_bytes(streamed_body)
@@ -137,14 +147,13 @@ class TestChunkedResponses:
             streamed.payload.find(msg._q("SQLDataset"))
         ) == serialize(eager.payload.find(msg._q("SQLDataset")))
 
-    def test_streaming_disabled_service_uses_content_length(self):
+    def test_eager_response_uses_content_length(self):
         registry = ServiceRegistry()
         server = DaisHttpServer(registry, port=0)
-        address, name, _ = _build(registry, server, stream=False)
+        address, name, _ = _build(registry, server)
         with server:
-            reply, body = _raw_exchange(
-                server, address, name, "SELECT v FROM t"
-            )
+            reply, body = _raw_exchange(server, address, name)
             assert reply.getheader("Transfer-Encoding") is None
+            assert int(reply.getheader("Content-Length")) == len(body)
             assert not Envelope.from_bytes(body).is_fault()
             assert server.metrics.counter("http.server.chunks").total() == 0

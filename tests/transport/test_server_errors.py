@@ -28,7 +28,7 @@ def deployment():
     registry = ServiceRegistry()
     server = DaisHttpServer(registry, port=0)
     address = server.url_for("/sql")
-    service = SQLRealisationService("err-sql", address, stream_datasets=True)
+    service = SQLRealisationService("err-sql", address)
     registry.register(service)
     database = Database("errdb")
     database.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(20))")

@@ -196,13 +196,17 @@ class TestOverloadDegradation:
         )
         server.fault_plan = FaultPlan().always(Latency(0.3))
         body = _request_bytes(address, name)
+        # Shed posts return at once, so a fixed number of them could end
+        # the saturation before the probe's first request arrives: the
+        # saturators keep posting until the probe has seen its 503.
+        probed = threading.Event()
 
         def saturate() -> None:
             conn = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=60
             )
             try:
-                for _ in range(4):
+                while not probed.is_set():
                     _post(conn, body)
             finally:
                 conn.close()
@@ -225,6 +229,7 @@ class TestOverloadDegradation:
                         break
                 else:  # pragma: no cover - diagnostic
                     pytest.fail("no shed observed under saturation")
+                probed.set()
                 assert status == 503
                 reply = Envelope.from_bytes(payload)
                 with pytest.raises(ServiceBusyFault, match="shed at admission"):
@@ -237,6 +242,7 @@ class TestOverloadDegradation:
                 assert status == 200
                 Envelope.from_bytes(payload).raise_if_fault()
             finally:
+                probed.set()
                 conn.close()
         shed = server.metrics.counter("http.server.queue.shed")
         assert shed.value(reason="queue-full") >= 1
